@@ -48,6 +48,12 @@ def drain(members, lwgs=None):
         gm.events.drain() if hasattr(gm.events, "drain") else None
 
 
+def eth_frames(cluster) -> int:
+    """Frames handed to the Ethernet so far (the control fabric)."""
+    return int(cluster.engine.metrics.sum("net.frames_sent",
+                                          fabric="tcp-ethernet"))
+
+
 def run_lightweight():
     cfg = GcsConfig(heartbeat_period=0.25, suspect_timeout=2.0)
     cluster = Cluster.build(nodes=N_NODES)
@@ -62,15 +68,15 @@ def run_lightweight():
     lwgs[0].create("app", [members[0].endpoint, members[1].endpoint])
     cluster.engine.run(until=cluster.engine.now + 1.0)
 
-    base = cluster.ethernet.frames_sent
+    base = eth_frames(cluster)
     for k in range(N_CASTS):
         lwgs[0].cast("app", ("payload", k))
     cluster.engine.run(until=cluster.engine.now + 2.0)
-    cast_frames = cluster.ethernet.frames_sent - base
+    cast_frames = eth_frames(cluster) - base
 
-    base = cluster.ethernet.frames_sent
+    base = eth_frames(cluster)
     cluster.engine.run(until=cluster.engine.now + WINDOW)
-    idle_frames = cluster.ethernet.frames_sent - base
+    idle_frames = eth_frames(cluster) - base
     return cast_frames, idle_frames
 
 
@@ -86,15 +92,15 @@ def run_full_group():
     app_members[1].start(contact=app_members[0].endpoint)
     cluster.engine.run(until=cluster.engine.now + 2.0)
 
-    base = cluster.ethernet.frames_sent
+    base = eth_frames(cluster)
     for k in range(N_CASTS):
         app_members[0].cast(("payload", k))
     cluster.engine.run(until=cluster.engine.now + 2.0)
-    cast_frames = cluster.ethernet.frames_sent - base
+    cast_frames = eth_frames(cluster) - base
 
-    base = cluster.ethernet.frames_sent
+    base = eth_frames(cluster)
     cluster.engine.run(until=cluster.engine.now + WINDOW)
-    idle_frames = cluster.ethernet.frames_sent - base
+    idle_frames = eth_frames(cluster) - base
     return cast_frames, idle_frames
 
 

@@ -57,9 +57,10 @@ def main():
         print(f"  {proto:>15}: finished {iters} iterations, "
               f"restarts={record.restarts}, "
               f"final placement {record.placement}")
-    print(f"\nstable storage: {sf.store.stats['writes']} checkpoint files, "
-          f"{sf.store.stats['bytes_written'] / 1e6:.1f} MB written, "
-          f"{sf.store.stats['reads']} restored")
+    reg = sf.engine.metrics
+    print(f"\nstable storage: {reg.value('ckpt.store.writes')} checkpoint "
+          f"files, {reg.value('ckpt.store.bytes_written') / 1e6:.1f} MB "
+          f"written, {reg.value('ckpt.store.reads')} restored")
 
 
 if __name__ == "__main__":

@@ -7,10 +7,9 @@ workloads above (:class:`~repro.apps.jacobi.Jacobi1D` etc.) exercise a
 path — admission, placement, startup, teardown — by pumping a stream of
 short-lived jobs through the :class:`~repro.fleet.FleetController`.
 
-It is also the event-list scheduler's adversarial regime: every arrival
-plants a fresh burst of near-term timers while long-horizon heartbeat
-timers sit parked far ahead, exactly the mixed-density schedule the
-calendar queue's width estimation has to cope with (DESIGN.md §19).
+Its event list is mixed-density: every arrival plants a fresh burst of
+near-term timers while long-horizon heartbeat timers sit parked far
+ahead.
 
 Two pieces:
 

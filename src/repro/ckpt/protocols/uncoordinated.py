@@ -137,10 +137,6 @@ class UncoordinatedProtocol(CrProtocol):
 
     # -- recovery-side helpers ---------------------------------------------------
 
-    @property
-    def interval_index(self) -> int:
-        return self._ckpt_index
-
     def live_deps(self) -> List[Tuple[int, int, int]]:
         """Dependencies recorded so far (incl. the current interval)."""
         return list(self._deps)

@@ -43,9 +43,6 @@ class RecoveryLine:
     cut: Dict[int, int]
     discarded_intervals: int     # total rollback distance (work lost)
 
-    def version_for(self, rank: int) -> int:
-        return self.cut[rank]
-
     @property
     def is_initial(self) -> bool:
         return all(v < 0 for v in self.cut.values())

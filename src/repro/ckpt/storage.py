@@ -184,13 +184,6 @@ class CheckpointStore:
         self._m_log_bytes = reg.counter(
             "ckpt.store.log_bytes", help="message-log payload bytes logged")
 
-    @property
-    def stats(self) -> Dict[str, int]:
-        """Legacy counter view (read side of the registry instruments)."""
-        return {"writes": int(self._m_writes.value),
-                "reads": int(self._m_reads.value),
-                "bytes_written": int(self._m_bytes.value)}
-
     # ------------------------------------------------------------------
     # writing
     # ------------------------------------------------------------------
@@ -509,10 +502,6 @@ class CheckpointStore:
         versions += self._committed.get(app_id, [])
         return max(versions, default=0)
 
-    def records_of(self, app_id: str) -> List[CheckpointRecord]:
-        return [rec for (a, _r, _v), rec in sorted(self._records.items())
-                if a == app_id]
-
     def drop_app(self, app_id: str) -> None:
         """Garbage-collect all of an application's checkpoints."""
         for key in [k for k in self._records if k[0] == app_id]:
@@ -523,4 +512,4 @@ class CheckpointStore:
 
     def __repr__(self) -> str:
         return (f"<CheckpointStore {len(self._records)} records "
-                f"{self.stats}>")
+                f"writes={self._m_writes.value} reads={self._m_reads.value}>")

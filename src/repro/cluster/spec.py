@@ -28,7 +28,8 @@ class ClusterSpec:
     """Everything needed to build a simulated cluster, in one place.
 
     The fields cover all three construction layers: the simulation kernel
-    (``seed``, ``trace``, ``telemetry``), the hardware substrate
+    (``seed``, ``trace``, ``telemetry``; its event list is always the
+    engine's one binary heap), the hardware substrate
     (``nodes``, ``archs``, ``loss_prob``) and the Starfish system on top
     (``gcs_config``, ``settle``, ``users`` — ignored by the lower layers).
     """
@@ -44,11 +45,6 @@ class ClusterSpec:
     #: ``net.loss``).  For a *windowed* loss fault, prefer
     #: :class:`repro.faults.FrameLossWindow`.
     loss_prob: float = 0.0
-    #: Future-event-list scheduler for the engine: ``"heap"`` (default,
-    #: the reference binary heap) or ``"calendar"`` (the amortized-O(1)
-    #: :class:`repro.sim.sched.CalendarQueue`).  Dispatch order is
-    #: byte-identical between the two — this is a pure wall-clock knob.
-    scheduler: str = "heap"
     #: Record a per-event trace (``repro.obs`` Chrome export).
     trace: bool = False
     #: Enable the metrics registry (``False`` swaps in no-op instruments).
@@ -101,10 +97,6 @@ class ClusterSpec:
         if not 0.0 <= self.loss_prob < 1.0:
             raise ValueError(
                 f"ClusterSpec.loss_prob must be in [0, 1), got {self.loss_prob}")
-        if self.scheduler not in SCHEDULERS:
-            raise ValueError(
-                f"ClusterSpec.scheduler must be one of {SCHEDULERS}, "
-                f"got {self.scheduler!r}")
         if self.archs is not None and not isinstance(self.archs, tuple):
             object.__setattr__(self, "archs", tuple(self.archs))
         if self.replication_factor is not None \
@@ -184,11 +176,6 @@ class ClusterSpec:
             return spec
         return cls(**legacy)
 
-
-#: Valid ``scheduler`` names (kept in sync with
-#: :data:`repro.sim.sched.SCHEDULERS` by a unit test — duplicated here
-#: so spec validation stays import-light).
-SCHEDULERS = ("heap", "calendar")
 
 #: Valid ``placement_policy`` names (kept in sync with
 #: :data:`repro.store.placement.POLICIES` by a unit test — this module

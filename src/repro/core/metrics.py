@@ -119,7 +119,7 @@ class ClusterMetrics:
                 if aid != record.app_id:
                     continue
                 steps[rank] = handle.steps_completed
-                aborted[rank] = handle.stats["aborted_steps"]
+                aborted[rank] = int(handle._m_aborted.value)
                 paused[rank] = handle.paused_accum
         versions = {rank: sf.store.versions_of(record.app_id, rank)
                     for rank in sorted(record.placement)}

@@ -119,13 +119,6 @@ class StarfishDaemon:
         #: flight (duplicate-submission guard).
         self._pending_submits: Set[str] = set()
 
-    @property
-    def local_msgs(self) -> Dict[str, int]:
-        """Local daemon<->application-process messages by Table 1 kind
-        (read side of ``daemon.local_msgs{node,kind}``)."""
-        return {k: int(m.value) for k, m in self._m_local.items()
-                if m.value}
-
     def _count_local(self, kind: str, n: int = 1) -> None:
         counter = self._m_local.get(kind)
         if counter is None:

@@ -220,11 +220,13 @@ class MetricsSane(InvariantChecker):
         for name, value in sf.engine.metrics.collect().items():
             if not math.isfinite(value):
                 out.append(f"non-finite metric {name}")
+        reg = sf.engine.metrics
         for fabric in (sf.cluster.ethernet, sf.cluster.myrinet):
-            if fabric.frames_dropped > fabric.frames_sent:
-                out.append(f"{fabric.spec.name}: dropped "
-                           f"{fabric.frames_dropped} > sent "
-                           f"{fabric.frames_sent}")
+            name = fabric.spec.name
+            dropped = reg.sum("net.frames_dropped", fabric=name)
+            sent = reg.sum("net.frames_sent", fabric=name)
+            if dropped > sent:
+                out.append(f"{name}: dropped {dropped} > sent {sent}")
         for daemon in sf.live_daemons():
             if daemon.gm.view is not None and \
                     int(daemon.gm._m["views"].value) < 1:

@@ -179,12 +179,6 @@ class GroupMember:
             RelAck: self._on_rel_ack,
         }
 
-    @property
-    def stats(self) -> Dict[str, int]:
-        """Legacy counter view (read side of the registry instruments)."""
-        return {k: int(m.value) for k, m in self._m.items()
-                if k != "heartbeats"}
-
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------

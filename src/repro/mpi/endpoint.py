@@ -12,7 +12,7 @@ matching engine.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.calibration import LayerCosts
 from repro.errors import Interrupt, MpiError, NetworkError, NodeDown
@@ -81,18 +81,9 @@ class MpiEndpoint:
             "mpi.p2p.latency_seconds", op="recv",
             help="simulated seconds a recv() waits for its message")
         self._h_collectives: Dict[str, Any] = {}
-        #: Hook intercepting control messages (tag <= CKPT_TAG_BASE);
-        #: installed by the C/R module (e.g. Chandy–Lamport markers).
-        self.control_hook: Optional[Callable[[InboundMsg, int], Any]] = None
-        #: Piggyback provider: called per outgoing data message; its return
-        #: value rides the packet (uncoordinated C/R dependency tracking).
-        self.piggyback_provider: Optional[Callable[[], Any]] = None
-        #: Tap on arriving data messages: ``tap(src_world, msg, piggyback)``
-        #: (legacy hook; superseded by :attr:`tap`).
-        self.data_tap: Optional[Callable[[int, InboundMsg, Any], None]] = None
         #: DeliveryTap role object (repro.ckpt.protocols.roles): the C/R
-        #: module's interception point on both the send and delivery
-        #: paths.  When set, its piggyback() wins over piggyback_provider.
+        #: module's one interception point on both the send and delivery
+        #: paths (piggybacks, control messages, delivery filtering).
         self.tap: Optional[Any] = None
         self._dispatcher = None
         if polling:
@@ -133,8 +124,6 @@ class MpiEndpoint:
             self.sent_count[dest_world] += 1
             if self.tap is not None:
                 pb = self.tap.piggyback(dest_world)
-            elif self.piggyback_provider is not None:
-                pb = self.piggyback_provider()
         packet = (_PKT_TAG, comm_id, src_comm_rank, tag, data, nbytes,
                   self.world_rank, pb)
         if self.tap is not None and tag > CKPT_TAG_BASE:
@@ -228,17 +217,12 @@ class MpiEndpoint:
             return False
         _, comm_id, src_rank, tag, data, nbytes, src_world, pb = payload
         if tag <= CKPT_TAG_BASE:
-            if self.tap is not None or self.control_hook is not None:
+            if self.tap is not None:
                 msg = InboundMsg(comm_id=comm_id, source=src_rank, tag=tag,
                                  data=data, nbytes=nbytes)
-                if self.tap is not None:
-                    result = self.tap.on_control(msg, src_world)
-                    if result is not None and hasattr(result, "__next__"):
-                        yield from result
-                if self.control_hook is not None:
-                    result = self.control_hook(msg, src_world)
-                    if result is not None and hasattr(result, "__next__"):
-                        yield from result
+                result = self.tap.on_control(msg, src_world)
+                if result is not None and hasattr(result, "__next__"):
+                    yield from result
             return True
         inbound = InboundMsg(comm_id=comm_id, source=src_rank, tag=tag,
                              data=data, nbytes=nbytes)
@@ -248,8 +232,6 @@ class MpiEndpoint:
             # solo restore): the counter must not move.
             return False
         self.recv_count[src_world] += 1
-        if self.data_tap is not None:
-            self.data_tap(src_world, inbound, pb)
         self.matching.arrived(inbound)
         return False
 
@@ -282,13 +264,6 @@ class MpiEndpoint:
         self.sent_count = defaultdict(int, state["sent_count"])
         self.recv_count = defaultdict(int, state["recv_count"])
         self.matching.restore_unexpected(state["unexpected"])
-
-    def in_flight_to(self, peer_sent: Dict[int, int]) -> int:
-        """Messages sent to us (per peers' counters) but not yet ingested."""
-        missing = 0
-        for src, sent in peer_sent.items():
-            missing += sent - self.recv_count.get(src, 0)
-        return missing
 
     def close(self) -> None:
         if self._dispatcher is not None and self._dispatcher.is_alive:

@@ -369,15 +369,6 @@ class LocalPipe:
             self._m_by_kind[kind] = counter
         counter.inc()
 
-    @property
-    def messages(self) -> int:
-        return int(sum(c.value for c in self._m_by_kind.values()))
-
-    @property
-    def by_kind(self) -> Dict[str, int]:
-        return {k: int(c.value) for k, c in self._m_by_kind.items()
-                if c.value}
-
     def close(self, exc: Optional[BaseException] = None) -> None:
         self.a.close(exc)
         self.b.close(exc)

@@ -79,9 +79,8 @@ class Fabric:
         # FIFO order, the one property the C/R protocols rely on.
         self._jitter_floor: Dict[tuple, float] = {}
         # Traffic telemetry: one registry series per Table 1 message kind
-        # (net.frames_sent{fabric=...,kind=...}); totals and the legacy
-        # attribute API (frames_sent, kind_counts, ...) are read-side
-        # aggregations over these instruments.
+        # (net.frames_sent{fabric=...,kind=...}); totals and per-kind
+        # breakdowns are registry queries (``sum`` / ``group_by``).
         self._registry = get_registry(engine)
         self._m_dropped = self._registry.counter(
             "net.frames_dropped", fabric=spec.name,
@@ -105,31 +104,6 @@ class Fabric:
                 "net.bytes_sent", fabric=self.spec.name, kind=kind,
                 help="payload bytes handed to the wire")
         return frames, self._m_bytes[kind]
-
-    # -- traffic counters (read-side views over the registry) ---------------
-
-    @property
-    def frames_sent(self) -> int:
-        return int(sum(c.value for c in self._m_frames.values()))
-
-    @property
-    def bytes_sent(self) -> int:
-        return int(sum(c.value for c in self._m_bytes.values()))
-
-    @property
-    def frames_dropped(self) -> int:
-        return int(self._m_dropped.value)
-
-    @property
-    def kind_counts(self) -> Dict[str, int]:
-        """Frames per Table 1 message kind ("data", "control", ...)."""
-        return {k: int(c.value) for k, c in self._m_frames.items()
-                if c.value}
-
-    @property
-    def kind_bytes(self) -> Dict[str, int]:
-        return {k: int(c.value) for k, c in self._m_bytes.items()
-                if c.value}
 
     # -- attachment --------------------------------------------------------
 
@@ -294,4 +268,5 @@ class Fabric:
 
     def __repr__(self) -> str:
         return (f"<Fabric {self.spec.name} nics={len(self._nics)} "
-                f"sent={self.frames_sent} dropped={self.frames_dropped}>")
+                f"sent={sum(c.value for c in self._m_frames.values())} "
+                f"dropped={self._m_dropped.value}>")

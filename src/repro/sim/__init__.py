@@ -37,13 +37,11 @@ from repro.sim.process import Process
 from repro.sim.channel import Channel, PriorityChannel
 from repro.sim.resources import Resource
 from repro.sim.rng import RngStreams
-from repro.sim.sched import SCHEDULERS, CalendarQueue
 from repro.sim.trace import TraceRecord, Tracer
 
 __all__ = [
     "AllOf",
     "AnyOf",
-    "CalendarQueue",
     "Channel",
     "Condition",
     "Engine",
@@ -54,7 +52,6 @@ __all__ = [
     "Process",
     "Resource",
     "RngStreams",
-    "SCHEDULERS",
     "SimulationError",
     "StopSimulation",
     "Timeout",

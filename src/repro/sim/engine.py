@@ -16,12 +16,7 @@ entirely by selecting the traced or untraced loop body once per
 :meth:`run` call.  :meth:`step` remains the single-event reference
 implementation; both must dispatch events identically.
 
-The future event list itself is pluggable (``scheduler=`` / the
-``ClusterSpec.scheduler`` field): ``"heap"`` (default) keeps the single
-binary heap and the inlined PR-3 fast loops; ``"calendar"`` swaps in the
-amortized-O(1) :class:`~repro.sim.sched.CalendarQueue`, whose dispatch
-order is byte-identical by construction (``(time, priority, seq)`` total
-order preserved inside buckets).
+The future event list is one binary heap, ``Engine._queue``.
 """
 
 from __future__ import annotations
@@ -36,7 +31,6 @@ from repro.obs.registry import MetricsRegistry
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
 from repro.sim.process import Process
 from repro.sim.rng import RngStreams
-from repro.sim.sched import _REWIDTH_POPS, SCHEDULERS, CalendarQueue
 from repro.sim.trace import Tracer
 
 #: Priority for ordinary events.
@@ -61,36 +55,18 @@ class Engine:
         :class:`~repro.obs.registry.MetricsRegistry` that every subsystem
         emits instruments into; when false the registry hands out no-op
         instruments (the zero-cost-ish ablation path).
-    scheduler:
-        Future-event-list implementation: ``"heap"`` (default, the
-        reference binary heap) or ``"calendar"`` (the amortized-O(1)
-        :class:`~repro.sim.sched.CalendarQueue`; dispatch order is
-        byte-identical).
     """
 
     __slots__ = ("_now", "_queue", "_seq", "active_process", "rng",
                  "tracer", "_nprocessed", "metrics", "_perturb",
-                 "_tie_pending", "_sched", "_push", "scheduler")
+                 "_tie_pending", "_push")
 
     def __init__(self, seed: int = 0, trace: bool = False,
-                 telemetry: bool = True, scheduler: str = "heap"):
-        if scheduler not in SCHEDULERS:
-            raise ValueError(f"Engine.scheduler must be one of "
-                             f"{SCHEDULERS}, got {scheduler!r}")
+                 telemetry: bool = True):
         self._now: float = 0.0
         self._queue: list = []
         self._seq: int = 0
-        self.scheduler = scheduler
-        if scheduler == "calendar":
-            self._sched: Optional[CalendarQueue] = CalendarQueue()
-            # C-level push, same cost as the heap's bound heappush: the
-            # entry lands on the staging list and is folded into the
-            # buckets (in push order — byte-identical heaps) by the
-            # dispatch loop or the queue's own drain.
-            self._push = self._sched._staging.append
-        else:
-            self._sched = None
-            self._push = partial(heappush, self._queue)
+        self._push = partial(heappush, self._queue)
         self.active_process: Optional[Process] = None
         self.rng = RngStreams(seed)
         self.tracer: Optional[Tracer] = Tracer() if trace else None
@@ -110,22 +86,10 @@ class Engine:
                               lambda: self._nprocessed)
         self.metrics.gauge_fn(
             "sim.queue_depth",
-            lambda: (len(self._queue) if self._sched is None
-                     else len(self._sched)) + len(self._tie_pending))
+            lambda: len(self._queue) + len(self._tie_pending))
         self.metrics.gauge_fn(
             "sim.trace.events_dropped",
             lambda: self.tracer.events_dropped if self.tracer else 0)
-        if self._sched is not None:
-            sched = self._sched
-            self.metrics.gauge_fn("sim.sched.buckets",
-                                  lambda: sched.nbuckets)
-            self.metrics.gauge_fn("sim.sched.occupancy",
-                                  lambda: len(sched))
-            self.metrics.gauge_fn("sim.sched.width", lambda: sched.width)
-            self.metrics.gauge_fn("sim.sched.resizes",
-                                  lambda: sched.resizes)
-            self.metrics.gauge_fn("sim.sched.direct_searches",
-                                  lambda: sched.direct_searches)
 
     @classmethod
     def from_spec(cls, spec) -> "Engine":
@@ -136,9 +100,7 @@ class Engine:
         ``delivery_jitter`` pair) so the sim layer does not import the
         cluster layer.
         """
-        eng = cls(seed=spec.seed, trace=spec.trace,
-                  telemetry=spec.telemetry,
-                  scheduler=getattr(spec, "scheduler", "heap"))
+        eng = cls(seed=spec.seed, trace=spec.trace, telemetry=spec.telemetry)
         perturb_seed = getattr(spec, "perturb_seed", None)
         if perturb_seed is not None:
             from repro.check.perturb import SchedulePerturbation
@@ -217,27 +179,13 @@ class Engine:
         pending = self._tie_pending
         if pending:
             return pending.popleft()
-        sched = self._sched
-        if sched is None:
-            queue = self._queue
-            entry = heappop(queue)
-            if queue and queue[0][0] == entry[0] \
-                    and queue[0][1] == entry[1]:
-                group = [entry]
-                when, prio = entry[0], entry[1]
-                while queue and queue[0][0] == when \
-                        and queue[0][1] == prio:
-                    group.append(heappop(queue))
-                self._perturb.shuffle_ties(group)
-                pending.extend(group)
-                return pending.popleft()
-            return entry
-        entry = sched.pop()
-        key = (entry[0], entry[1])
-        if sched.peek_key() == key:
+        queue = self._queue
+        entry = heappop(queue)
+        if queue and queue[0][0] == entry[0] and queue[0][1] == entry[1]:
             group = [entry]
-            while sched.peek_key() == key:
-                group.append(sched.pop())
+            when, prio = entry[0], entry[1]
+            while queue and queue[0][0] == when and queue[0][1] == prio:
+                group.append(heappop(queue))
             self._perturb.shuffle_ties(group)
             pending.extend(group)
             return pending.popleft()
@@ -250,17 +198,10 @@ class Engine:
         Reference implementation of event dispatch — the inlined loop in
         :meth:`run` must stay behaviorally identical to this.
         """
-        sched = self._sched
         if self._perturb is not None:
-            empty = (not self._queue if sched is None else not sched)
-            if empty and not self._tie_pending:
+            if not self._queue and not self._tie_pending:
                 raise SimulationError("event queue is empty")
             when, _prio, _seq, event = self._pop_perturbed()
-        elif sched is not None:
-            entry = sched.pop()
-            if entry is None:
-                raise SimulationError("event queue is empty")
-            when, _prio, _seq, event = entry
         elif not self._queue:
             raise SimulationError("event queue is empty")
         else:
@@ -310,8 +251,6 @@ class Engine:
 
         if self._perturb is not None:
             return self._run_perturbed(until, stop_at)
-        if self._sched is not None:
-            return self._run_calendar(until, stop_at)
 
         queue = self._queue
         pop = heappop
@@ -368,167 +307,6 @@ class Engine:
             self._now = stop_at
         return None
 
-    def _run_calendar(self, until: Any, stop_at: Optional[float]) -> Any:
-        """The :meth:`run` loop over a :class:`CalendarQueue`.
-
-        Identical epilogue semantics to the inlined heap loops.  Like the
-        heap loops inline ``heappop``, this one inlines the calendar's
-        whole per-event cycle — staging drain, day-walk, pop (the bodies
-        of ``CalendarQueue._drain`` / ``pop`` / ``pop_until``) — because
-        even one Python call per event is a measurable tax at bench
-        scale.  The buckets/mask/width locals are cached and re-read
-        only when the queue's resize ``_version`` moves.
-
-        Every ``_REWIDTH_POPS`` pops the day array is rebuilt so the
-        bucket width tracks the *current* schedule density (Brown's
-        queue only adapts on occupancy resizes; a long steady-state
-        phase would otherwise keep the boot-time width forever).  The
-        rebuild is a pure layout change keyed off the pop counter, so
-        it is deterministic and invisible to dispatch order.
-        """
-        sched = self._sched
-        tracer = self.tracer
-        record = tracer.record if tracer is not None else None
-        nprocessed = self._nprocessed
-        pops = 0
-        try:
-            staging = sched._staging
-            version = sched._version
-            buckets = sched._buckets
-            mask = sched._mask
-            inv_w = sched._inv_width
-            if stop_at is None:
-                while True:
-                    if version != sched._version:
-                        version = sched._version
-                        buckets = sched._buckets
-                        mask = sched._mask
-                        inv_w = sched._inv_width
-                    if staging:
-                        for entry in staging:
-                            heappush(buckets[int(entry[0] * inv_w) & mask],
-                                     entry)
-                        count = sched._count + len(staging)
-                        sched._count = count
-                        staging.clear()
-                        if count > sched._grow_at:
-                            sched._resize()
-                            continue
-                    else:
-                        count = sched._count
-                    if not count:
-                        break
-                    day = sched._epoch
-                    remaining = mask + 2
-                    while remaining:
-                        bucket = buckets[day & mask]
-                        if bucket and int(bucket[0][0] * inv_w) <= day:
-                            break
-                        day += 1
-                        remaining -= 1
-                    else:
-                        sched.direct_searches += 1
-                        bucket = None
-                        for b in buckets:
-                            if b and (bucket is None or b[0] < bucket[0]):
-                                bucket = b
-                    entry = heappop(bucket)
-                    when = entry[0]
-                    sched._last = when
-                    sched._epoch = int(when * inv_w)
-                    sched._count = count - 1
-                    pops += 1
-                    if count - 1 < sched._shrink_at or \
-                            pops >= _REWIDTH_POPS:
-                        sched._resize()
-                        pops = 0
-                    event = entry[3]
-                    if when < self._now:
-                        raise SimulationError("event queue went back in time")
-                    self._now = when
-                    callbacks, event.callbacks = event.callbacks, None
-                    nprocessed += 1
-                    if record is not None:
-                        record(when, event)
-                    for cb in callbacks:
-                        cb(event)
-                    if not event._ok and not event._defused:
-                        exc = event._value
-                        raise exc
-            else:
-                while True:
-                    if version != sched._version:
-                        version = sched._version
-                        buckets = sched._buckets
-                        mask = sched._mask
-                        inv_w = sched._inv_width
-                    if staging:
-                        for entry in staging:
-                            heappush(buckets[int(entry[0] * inv_w) & mask],
-                                     entry)
-                        count = sched._count + len(staging)
-                        sched._count = count
-                        staging.clear()
-                        if count > sched._grow_at:
-                            sched._resize()
-                            continue
-                    else:
-                        count = sched._count
-                    if not count:
-                        break
-                    day = sched._epoch
-                    remaining = mask + 2
-                    while remaining:
-                        bucket = buckets[day & mask]
-                        if bucket and int(bucket[0][0] * inv_w) <= day:
-                            break
-                        day += 1
-                        remaining -= 1
-                    else:
-                        sched.direct_searches += 1
-                        bucket = None
-                        for b in buckets:
-                            if b and (bucket is None or b[0] < bucket[0]):
-                                bucket = b
-                    if bucket[0][0] > stop_at:
-                        break
-                    entry = heappop(bucket)
-                    when = entry[0]
-                    sched._last = when
-                    sched._epoch = int(when * inv_w)
-                    sched._count = count - 1
-                    pops += 1
-                    if count - 1 < sched._shrink_at or \
-                            pops >= _REWIDTH_POPS:
-                        sched._resize()
-                        pops = 0
-                    event = entry[3]
-                    if when < self._now:
-                        raise SimulationError("event queue went back in time")
-                    self._now = when
-                    callbacks, event.callbacks = event.callbacks, None
-                    nprocessed += 1
-                    if record is not None:
-                        record(when, event)
-                    for cb in callbacks:
-                        cb(event)
-                    if not event._ok and not event._defused:
-                        exc = event._value
-                        raise exc
-        except StopSimulation as stop:
-            ev: Event = stop.value
-            if not ev.ok:
-                raise ev.value from None
-            return ev.value
-        finally:
-            self._nprocessed = nprocessed
-        if isinstance(until, Event):
-            raise SimulationError(
-                f"simulation ran dry before {until!r} triggered")
-        if stop_at is not None:
-            self._now = stop_at
-        return None
-
     def _run_perturbed(self, until: Any, stop_at: Optional[float]) -> Any:
         """The :meth:`run` loop under an installed perturbation.
 
@@ -538,17 +316,11 @@ class Engine:
         next call (or :meth:`step`) continues from it.
         """
         queue = self._queue
-        sched = self._sched
         pending = self._tie_pending
         try:
-            while (queue if sched is None else sched) or pending:
+            while queue or pending:
                 if stop_at is not None:
-                    if pending:
-                        nxt = pending[0][0]
-                    elif sched is None:
-                        nxt = queue[0][0]
-                    else:
-                        nxt = sched.peek_time()
+                    nxt = pending[0][0] if pending else queue[0][0]
                     if nxt > stop_at:
                         self._now = stop_at
                         return None
@@ -580,12 +352,9 @@ class Engine:
         """Time of the next scheduled event, or ``inf`` if none."""
         if self._tie_pending:
             return self._tie_pending[0][0]
-        if self._sched is not None:
-            return self._sched.peek_time()
         return self._queue[0][0] if self._queue else float("inf")
 
     def __repr__(self) -> str:
-        queued = (len(self._queue) if self._sched is None
-                  else len(self._sched)) + len(self._tie_pending)
-        return (f"<Engine t={self._now:.9g} queued={queued} "
-                f"processed={self._nprocessed} sched={self.scheduler}>")
+        return (f"<Engine t={self._now:.9g} "
+                f"queued={len(self._queue) + len(self._tie_pending)} "
+                f"processed={self._nprocessed}>")

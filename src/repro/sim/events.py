@@ -15,10 +15,9 @@ event)`` queue entry inline and hands it to the engine's pre-bound
 ``_push`` callable instead of calling through ``Engine._enqueue`` —
 events are created and triggered once per simulated hop, so the extra
 call and the ``triggered`` property lookups measurably tax large
-simulations.  ``_push`` is ``heappush`` partial-bound to the queue list
-under the default heap scheduler and ``CalendarQueue.push`` under the
-calendar scheduler; the entry layout and the ``(time, priority, seq)``
-total order are part of the engine's contract and must match
+simulations.  ``_push`` is ``heappush`` partial-bound to the engine's
+queue list; the entry layout and the ``(time, priority, seq)`` total
+order are part of the engine's contract and must match
 :mod:`repro.sim.engine`.
 """
 

@@ -95,8 +95,8 @@ def test_store_write_read_cycle():
 
     out = cluster.engine.run(cluster.engine.process(writer()))
     assert out is rec
-    assert store.stats["writes"] == 1
-    assert store.stats["reads"] == 1
+    assert cluster.engine.metrics.value("ckpt.store.writes") == 1
+    assert cluster.engine.metrics.value("ckpt.store.reads") == 1
 
 
 def test_store_missing_checkpoint_raises():

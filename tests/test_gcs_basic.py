@@ -76,8 +76,8 @@ def test_no_duplicates_in_stable_group():
     for i in range(8):
         h.members["n0"].cast(i)
     h.run(until=4.0)
-    for gm in h.members.values():
-        assert gm.stats["duplicates"] == 0
+    for nid in h.members:
+        assert h.engine.metrics.value("gcs.duplicates", node=nid) == 0
 
 
 def test_p2p_send_delivered_once():
@@ -138,10 +138,10 @@ def test_stats_counters():
     h.run(until=2.0)
     h.members["n0"].cast("x")
     h.run(until=3.0)
-    gm = h.members["n0"]
-    assert gm.stats["casts"] == 1
-    assert gm.stats["delivered"] == 1
-    assert gm.stats["views"] >= 2
+    reg = h.engine.metrics
+    assert reg.value("gcs.casts", node="n0") == 1
+    assert reg.value("gcs.delivered", node="n0") == 1
+    assert reg.value("gcs.views", node="n0") >= 2
 
 
 def test_start_twice_is_error():
@@ -158,5 +158,6 @@ def test_control_traffic_stays_off_myrinet():
     h.run(until=2.0)
     h.members["n0"].cast("data")
     h.run(until=3.0)
-    assert h.cluster.myrinet.frames_sent == 0
-    assert h.cluster.ethernet.frames_sent > 0
+    reg = h.engine.metrics
+    assert reg.sum("net.frames_sent", fabric="bip-myrinet") == 0
+    assert reg.sum("net.frames_sent", fabric="tcp-ethernet") > 0

@@ -66,7 +66,7 @@ def test_cast_concurrent_with_crash_not_lost_for_survivors():
     for nid in ("n0", "n1"):
         bursts = [p for p in h.casts(nid) if isinstance(p, tuple)]
         assert bursts == [("burst", i) for i in range(10)], nid
-        assert h.members[nid].stats["duplicates"] == 0
+        assert h.engine.metrics.value("gcs.duplicates", node=nid) == 0
 
 
 def test_virtual_synchrony_same_messages_before_view_change():

@@ -183,11 +183,11 @@ def test_suspend_and_resume():
         yield from c.must("SUSPEND job")
         yield sf.engine.timeout(0.3)      # let the suspension take hold
         status1 = yield from c.command("STATUS job")
-        before = [h.stats["steps"] for (a, r), h in
-                  _all_handles(sf, "job")]
+        before = [sf.engine.metrics.value("app.steps", app=a, rank=r)
+                  for (a, r), _h in _all_handles(sf, "job")]
         yield sf.engine.timeout(2.0)      # suspended: no progress
-        after = [h.stats["steps"] for (a, r), h in
-                 _all_handles(sf, "job")]
+        after = [sf.engine.metrics.value("app.steps", app=a, rank=r)
+                 for (a, r), _h in _all_handles(sf, "job")]
         yield from c.must("RESUME job")
         return status1, before, after
 

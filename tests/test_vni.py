@@ -42,8 +42,9 @@ def test_message_delivered_with_payload():
     out = one_way(cluster, a, b)
     assert out["msg"].payload == b"payload"
     assert out["msg"].src_node == "n0"
-    assert a.stats["sent"] == 1
-    assert b.stats["received"] == 1
+    reg = cluster.engine.metrics
+    assert reg.sum("vni.sent", port=a.port) == 1
+    assert reg.sum("vni.received", port=b.port) == 1
 
 
 @pytest.mark.parametrize("transport,spec", [
