@@ -10,9 +10,10 @@ cluster size and message density for three workload shapes:
   small cluster (per-message hot-path cost);
 * ``jacobi``    — bulk-synchronous halo exchange with ``nprocs == nodes``
   and a small per-rank block, the event-dense scaling configuration
-  (8 -> 256 nodes in full mode, plus 512/1024-node *sparse* rows: quiet
-  heartbeats and one collective wave, or the quadratic control-path
-  multicast dominates the sweep);
+  (8 -> 256 nodes in full mode, plus 512/1024-node *sparse* rows with a
+  single collective wave, or the quadratic full-group multicast of the
+  control path dominates the sweep; heartbeats are linear in the group
+  size, so these rows use the same GCS settings as the others);
 * ``traffic``   — the :class:`~repro.apps.TrafficGenerator` control-path
   churn workload (many short-lived client jobs through the fleet
   scheduler);
@@ -72,11 +73,10 @@ TARGETS = {
 REPEATS = int(os.environ.get("REPRO_BENCH_REPEATS", "1" if FAST else "2"))
 
 
-def _spec(nodes: int, heartbeat: float = 2.0) -> ClusterSpec:
+def _spec(nodes: int) -> ClusterSpec:
     # Quiet heartbeats keep the sweep focused on the data path; the chaos
     # configs use the campaign default (control-path-dense) instead.
-    return ClusterSpec(nodes=nodes, seed=SEED,
-                       gcs_config=quiet_gcs(heartbeat))
+    return ClusterSpec(nodes=nodes, seed=SEED, gcs_config=quiet_gcs(2.0))
 
 
 def _measure(label: str, nodes: int, density: str, fn):
@@ -111,8 +111,8 @@ def run_pingpong(nodes: int, reps: int, sizes) -> tuple:
 
 
 def run_jacobi(nodes: int, iterations: int, cells_per_rank: int,
-               heartbeat: float = 2.0, iters_per_step: int = 10) -> tuple:
-    sf = StarfishCluster.build(spec=_spec(nodes, heartbeat))
+               iters_per_step: int = 10) -> tuple:
+    sf = StarfishCluster.build(spec=_spec(nodes))
     sf.run(AppSpec(program=Jacobi1D, nprocs=nodes,
                    params={"n": cells_per_rank * nodes,
                            "iterations": iterations,
@@ -134,8 +134,8 @@ def run_traffic(nodes: int, jobs: int) -> tuple:
 
 
 def run_chaos(nodes: int) -> tuple:
-    # The standard campaign cluster (default GCS config: control-path
-    # event density grows quadratically with the group size).
+    # The standard campaign cluster (default GCS config: failure
+    # detection and view changes run at full rate).
     campaign = get_campaign("crash-recover")
     runner = CampaignRunner(campaign, seed=SEED, protocol="stop-and-sync",
                             policy="restart", nodes=nodes,
@@ -159,10 +159,10 @@ def sweep(fast: bool = FAST):
         jacobi_cfgs = [(8, "sparse", 40, 256), (32, "sparse", 40, 256),
                        (8, "dense", 60, 64), (32, "dense", 60, 64),
                        (128, "dense", 60, 64), (256, "dense", 60, 64)]
-        # 512/1024-node rows: quiet heartbeats (30s) and a single
-        # collective wave — the n^2 full-group multicast during the
-        # serialized collectives otherwise explodes the event count
-        # (tens of millions at 1024 nodes) and drowns the data path.
+        # 512/1024-node rows: a single collective wave — the n^2
+        # full-group multicast during the serialized collectives
+        # otherwise explodes the event count (tens of millions at 1024
+        # nodes) and drowns the data path.
         bignode_cfgs = [512, 1024]
         traffic_cfgs = [(32, 200)]
         chaos_nodes = [8, 32]
@@ -180,7 +180,7 @@ def sweep(fast: bool = FAST):
         rows.append(_measure("jacobi", nodes, "sparse",
                              lambda n=nodes:
                              run_jacobi(n, iterations=8, cells_per_rank=16,
-                                        heartbeat=30.0, iters_per_step=8)))
+                                        iters_per_step=8)))
     for nodes, jobs in traffic_cfgs:
         rows.append(_measure("traffic", nodes, f"jobs{jobs}",
                              lambda n=nodes, j=jobs: run_traffic(n, j)))

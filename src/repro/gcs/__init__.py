@@ -11,6 +11,19 @@ implements those guarantees over the simulated cluster:
   point-to-point sends, state transfer to joiners, and gossip-based view
   merge after partitions heal.
 
+Failure detection runs through two *monitors*, the view's coordinator and
+its successor (``view.members[:2]``).  Each monitor heartbeats every other
+member and every other member heartbeats only the monitors: 4n-6 frames
+per ``heartbeat_period`` instead of the n(n-1) of an all-to-all detector.
+Monitors suspect any member silent for ``suspect_timeout``; every other
+member suspects only the monitors and counts the rest alive.  The lowest
+unsuspected member starts the flush; a non-monitor that lost both
+monitors starts one itself, and the flush's lowest-sender tie-break picks
+among such proposers.  Any single crash and any simultaneous pair is thus
+seen by a survivor within ``suspect_timeout + heartbeat_period``, as with
+all-to-all heartbeats.  Each first suspicion emits a ``gcs.suspect``
+event.
+
 Guarantees (property-tested in ``tests/test_gcs_properties.py``):
 
 1. **Total order** — all members deliver casts in a common order (every

@@ -132,6 +132,24 @@ def test_cast_before_view_is_delivered_eventually():
     assert h.casts("n1") == ["early-bird"]
 
 
+@pytest.mark.parametrize("n", [3, 8, 32])
+def test_heartbeats_are_linear_in_group_size(n):
+    # The two monitors heartbeat every other member and every other
+    # member heartbeats the two monitors: 4n-6 frames per period.
+    h = Harness(nodes=n)
+    h.boot_all()
+    h.run(until=2.0)
+    reg = h.engine.metrics
+    views = reg.sum("gcs.views")
+    # Start off the period grid so no tick sits on a window edge.
+    t0 = 2.0 + h.cfg.heartbeat_period / 3
+    h.run(until=t0)
+    before = reg.sum("gcs.heartbeats")
+    h.run(until=t0 + 20 * h.cfg.heartbeat_period)
+    assert reg.sum("gcs.heartbeats") - before == 20 * (4 * n - 6)
+    assert reg.sum("gcs.views") == views  # the group stayed stable
+
+
 def test_stats_counters():
     h = Harness(nodes=2)
     h.boot_all()

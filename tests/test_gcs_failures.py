@@ -199,6 +199,62 @@ def test_two_simultaneous_crashes():
         assert h.member_ids(nid) == ["n0", "n2", "n4"], nid
 
 
+#: The failure-detector monitors of the 5-node group: the coordinator
+#: and its successor.
+MONITORS = ("n0", "n1")
+
+
+@pytest.mark.parametrize("crashed", [("n3",), ("n0",), ("n0", "n1"),
+                                     ("n0", "n3"), ("n1", "n3"),
+                                     ("n2", "n4")], ids="+".join)
+def test_crash_detected_within_suspect_timeout_plus_period(crashed):
+    # Every single crash and every simultaneous pair -- monitors included
+    # -- is detected as fast as by an all-to-all detector.
+    h = Harness(nodes=5)
+    h.boot_all()
+    for nid in crashed:
+        h.cluster.faults.at(2.0, CrashNode(node=nid))
+    h.run(until=4.0)
+    survivors = sorted(set(h.members) - set(crashed))
+    bound = h.cfg.suspect_timeout + h.cfg.heartbeat_period
+    log = h.engine.metrics.events
+    for nid in survivors:
+        assert h.member_ids(nid) == survivors, nid
+        installed = [e.time for e in log.records("gcs.view")
+                     if e.time >= 2.0 and e.field_dict["node"] == nid
+                     and e.field_dict["members"] == len(survivors)]
+        assert installed and installed[0] - 2.0 <= bound, (nid, installed)
+    # Suspicions name exactly the crashed members, each reported once per
+    # watcher, by a survivor that watches it: a monitor watches everyone,
+    # any other member watches the monitors.
+    suspects = [e.field_dict for e in log.records("gcs.suspect")]
+    assert {s["suspect"] for s in suspects} == set(crashed)
+    pairs = [(s["node"], s["suspect"]) for s in suspects]
+    assert len(pairs) == len(set(pairs))
+    for s in suspects:
+        assert s["node"] in survivors
+        assert s["node"] in MONITORS or s["suspect"] in MONITORS
+        assert s["silent_s"] > h.cfg.suspect_timeout
+
+
+def test_partition_cut_off_from_both_monitors_forms_own_view():
+    # n3 and n4 lose both monitors and count n2 alive for lack of
+    # evidence; their flush must drop the unreachable n2, not wait on it.
+    h = Harness(nodes=5)
+    h.boot_all()
+    h.run(until=2.0)
+    h.cluster.ethernet.set_partition(["n0", "n1", "n2"], ["n3", "n4"])
+    h.run(until=5.0)
+    for nid in ("n0", "n1", "n2"):
+        assert h.member_ids(nid) == ["n0", "n1", "n2"], nid
+    for nid in ("n3", "n4"):
+        assert h.member_ids(nid) == ["n3", "n4"], nid
+    h.cluster.ethernet.clear_partition()
+    h.run(until=10.0)
+    for nid in h.members:
+        assert h.member_ids(nid) == sorted(h.members), nid
+
+
 def test_cascading_crashes_leave_singleton():
     h = Harness(nodes=3)
     h.boot_all()
