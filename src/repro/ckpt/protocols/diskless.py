@@ -68,13 +68,12 @@ class DisklessProtocol(StopAndSyncProtocol):
 
         The protocol is a thin client of ``repro.store``: the rotation
         rule lives in :func:`repro.store.placement.rotating_mirrors` and
-        the copy count comes from the store (double mirroring on the
-        idealized store — Plank-style diskless checkpointing uses
-        parity; mirroring is the simple variant — and the configured
-        ``k`` on a :class:`~repro.store.ReplicatedStore`).
+        the copy count is the store's ``k`` (2 by default: double
+        mirroring — Plank-style diskless checkpointing uses parity;
+        mirroring is the simple variant).
         """
         return rotating_mirrors(self.live_peers(), self.ctx.rank, version,
-                                copies=self.ctx.store.mirror_fanout())
+                                copies=self.ctx.store.k)
 
     # ------------------------------------------------------------------
     # the dump phase: stream to the buddy instead of writing locally
@@ -105,7 +104,7 @@ class DisklessProtocol(StopAndSyncProtocol):
             # Singleton application: nowhere to mirror; keep it in our own
             # memory (it dies with us — an honest diskless limitation).
             ctx.store.write_tier(record, TIER_MEMORY,
-                                 holder_node=ctx.node.node_id)
+                                 node_id=ctx.node.node_id)
             self._after_dump(version, nbytes)
             return
         # Stream the image to each mirror over the fast network.  The wire
@@ -128,7 +127,7 @@ class DisklessProtocol(StopAndSyncProtocol):
     def on_dl_store(self, payload, source):
         _, version, owner, record = payload
         self.ctx.store.write_tier(record, TIER_MEMORY,
-                                  holder_node=self.ctx.node.node_id)
+                                  node_id=self.ctx.node.node_id)
         yield from self.ctx.endpoint.send(
             owner, f"cr:{self.ctx.app_id}", self.ctx.rank, DL_TAG,
             ("dl-ack", version), nbytes=16)

@@ -180,12 +180,6 @@ def cmd_check(args) -> int:
 
 
 def cmd_store(args) -> int:
-    if getattr(args, "what", None) is not None:
-        print("repro store: --what has been removed; use the "
-              "placement | replica-map | repair | tiers subcommands "
-              "instead", file=sys.stderr)
-        return 2
-
     from repro.apps import ComputeSleep
     from repro.cluster.spec import ClusterSpec
     from repro.core import (AppSpec, CheckpointConfig, FaultPolicy,
@@ -233,11 +227,11 @@ def cmd_store(args) -> int:
         print(f"placement policy={store.policy.name} k={store.k} "
               f"nodes={args.nodes}")
         newest = store.max_version(app_id)
-        for (key, rec, _avail) in store.replica_map(app_id):
+        for key, rec in store.iter_records(app_id):
             if key[2] != (version if version is not None else newest) \
                     or not keep(key):
                 continue
-            primary = rec.holder_nodes[0] if rec.holder_nodes else "?"
+            primary = (rec.holders.get(rec.tier) or ["?"])[0]
             extra = store.policy.replicas(key, primary,
                                           store.candidates(primary),
                                           store.k)
@@ -248,11 +242,12 @@ def cmd_store(args) -> int:
         restorable = store.latest_restorable(app_id, range(nprocs))
         print(f"replica map app={app_id} committed={committed} "
               f"restorable={restorable} deficit={store.replica_deficit()}")
-        for (key, rec, avail) in store.replica_map(app_id):
+        for key, rec in store.iter_records(app_id):
             if not keep(key):
                 continue
             print(f"  {key[0]} rank={key[1]} v{key[2]} "
-                  f"holders={rec.holder_nodes} reachable={avail}")
+                  f"holders={rec.all_holders()} "
+                  f"reachable={store.available_holders(rec)}")
     if "repair" in sections:
         if store.repair is None:
             print(f"repair: disabled (k={store.k}; no replicas to maintain)")
@@ -261,22 +256,18 @@ def cmd_store(args) -> int:
             print("repair: " + " ".join(f"{k}={status[k]}"
                                         for k in sorted(status)))
     if "tiers" in sections:
-        if not hasattr(store, "tier_map"):
-            print("tiers: disabled (build with --tiers memory,disk,fabric)")
-        else:
-            print(f"tier map app={app_id} tiers={'+'.join(store.tiers)} "
-                  f"promotion={store.promotion} "
-                  f"delta_depth={store.delta_depth}")
-            for (key, rec, by_tier) in store.tier_map(app_id):
-                if not keep(key):
-                    continue
-                held = " ".join(
-                    f"{t}={by_tier.get(t, [])}" for t in store.tiers)
-                delta = (f" delta_of=v{rec.delta_of}"
-                         f" full={rec.full_nbytes}B"
-                         if rec.is_delta else " full-image")
-                print(f"  rank={key[1]} v{key[2]} nbytes={rec.nbytes}"
-                      f"{delta} {held}")
+        print(f"tier map app={app_id} tiers={'+'.join(store.tiers)} "
+              f"promotion={store.promotion} "
+              f"delta_depth={store.delta_depth}")
+        for key, rec in store.iter_records(app_id):
+            if not keep(key):
+                continue
+            by_tier = store.available_by_tier(rec)
+            held = " ".join(f"{t}={by_tier.get(t, [])}" for t in store.tiers)
+            delta = (f" delta_of=v{rec.delta_of} full={rec.full_nbytes}B"
+                     if rec.is_delta else " full-image")
+            print(f"  rank={key[1]} v{key[2]} nbytes={rec.nbytes}"
+                  f"{delta} {held}")
     return 0
 
 
@@ -513,17 +504,13 @@ def main(argv=None) -> int:
                        help="crash an app host mid-run (and recover it) to "
                             "exercise failure-driven repair")
     store.add_argument("--tiers", default=None, metavar="T1,T2,...",
-                       help="build a multi-level TieredStore instead "
+                       help="store tiers instead of disk+fabric "
                             "(comma list from: memory, disk, fabric)")
     store.add_argument("--delta-depth", type=int, default=0,
                        help="delta-checkpoint chain depth (with --tiers)")
     store.add_argument("--tier-policy", default="write-through",
                        choices=["write-through", "write-back"],
                        help="tier promotion policy (with --tiers)")
-    # Removed flag (was deprecated for one release): still parsed so the
-    # command can fail with a pointer to its replacement subcommands
-    # instead of a generic argparse error.
-    store.add_argument("--what", default=None, help=argparse.SUPPRESS)
     store.set_defaults(fn=cmd_store, store_cmd=None)
     store_sub = store.add_subparsers(dest="store_cmd", metavar="SECTION")
     for sname, shelp in (

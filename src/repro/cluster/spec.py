@@ -56,29 +56,32 @@ class ClusterSpec:
     #: Client accounts as ``{user: (password, is_mgmt)}`` (``None`` =
     #: :data:`repro.daemon.daemon.DEFAULT_USERS`).
     users: Optional[Dict[str, Tuple[str, bool]]] = None
-    #: Checkpoint replication factor.  ``None`` (default) keeps the
-    #: paper's idealized single-copy stable storage
-    #: (:class:`repro.ckpt.CheckpointStore`, byte-identical behaviour);
-    #: an int ``>= 1`` builds a :class:`repro.store.ReplicatedStore`
-    #: with honest node-local durability — k copies per record, placed
-    #: by ``placement_policy``, repaired after failures when ``k >= 2``.
+    #: The checkpoint store (:class:`repro.ckpt.CheckpointStore`) is one
+    #: class configured by its tiers and copy count ``k``, derived by
+    #: :func:`repro.core.starfish.store_tiers_of`: ``store_tiers`` when
+    #: set; otherwise ``("disk", "fabric")`` when ``replication_factor``
+    #: is set; otherwise the paper's idealized global stable storage
+    #: (the default, byte-identical behaviour).
+    #:
+    #: Copies per record (``k``).  ``None`` keeps ``k = 2``, which only
+    #: sets the memory-tier fan-out (the diskless protocol's double
+    #: mirror) unless ``store_tiers`` replicates; an int ``>= 1`` alone
+    #: selects ``("disk", "fabric")``: k copies on real nodes, placed by
+    #: ``placement_policy``, repaired after failures when ``k >= 2``.
     replication_factor: Optional[int] = None
     #: Replica placement policy (see :data:`PLACEMENT_POLICIES`).
     placement_policy: str = "ring"
     #: Repair-service re-replication budget, bytes/second.
     repair_bandwidth: float = 4.0e6
-    #: Multi-level checkpoint tiers (:class:`repro.store.TieredStore`).
-    #: ``None`` (default) keeps the legacy single-level stores; a tuple
-    #: drawn from :data:`STORE_TIERS` (e.g. ``("memory", "disk",
-    #: "fabric")``) builds the L1/L2/L3 hierarchy.  The replica width of
-    #: the memory/fabric levels is ``replication_factor`` (default 2
-    #: when unset).
+    #: Checkpoint tiers drawn from :data:`STORE_TIERS` (e.g.
+    #: ``("memory", "disk", "fabric")`` for the L1/L2/L3 hierarchy).
+    #: ``None`` (default) derives them from ``replication_factor``.
     store_tiers: Optional[Tuple[str, ...]] = None
-    #: Delta-checkpoint chain depth (tiered store only): ``0`` dumps
+    #: Delta-checkpoint chain depth (needs ``store_tiers``): ``0`` dumps
     #: full images; ``n > 0`` stores up to ``n`` incremental images
     #: between full bases.
     delta_depth: int = 0
-    #: Tier promotion policy (tiered store only): ``write-through``
+    #: Tier promotion policy (needs ``store_tiers``): ``write-through``
     #: waits for every tier inside the dump; ``write-back`` returns
     #: after the fastest tier and flushes the rest in the background.
     tier_policy: str = "write-through"
@@ -127,7 +130,7 @@ class ClusterSpec:
             if not self.store_tiers:
                 raise ValueError(
                     "ClusterSpec.store_tiers must name at least one tier "
-                    "(or be None for the legacy stores)")
+                    "(or be None to derive them)")
             for t in self.store_tiers:
                 if t not in STORE_TIERS:
                     raise ValueError(
@@ -187,7 +190,7 @@ PLACEMENT_POLICIES = ("ring", "random", "partition-aware")
 STORE_TIERS = ("memory", "disk", "fabric")
 
 #: Valid ``tier_policy`` names (sync:
-#: :data:`repro.store.tiers.PROMOTIONS`).
+#: :data:`repro.ckpt.storage.PROMOTIONS`).
 TIER_POLICIES = ("write-through", "write-back")
 
 #: Sentinel distinguishing "kwarg not passed" from an explicit default.

@@ -23,6 +23,7 @@ import itertools
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.ckpt import CheckpointStore
+from repro.ckpt.storage import TIER_DISK, TIER_FABRIC, TIER_GLOBAL
 from repro.cluster import Architecture, Cluster, ClusterSpec
 from repro.cluster.spec import _UNSET
 from repro.core.appspec import AppSpec
@@ -35,6 +36,18 @@ from repro.errors import (ConvergenceTimeout, DaemonError, MajorityLost,
 from repro.gcs import GcsConfig
 
 _app_ids = itertools.count(1)
+
+
+def store_tiers_of(spec: ClusterSpec) -> Tuple[str, ...]:
+    """The checkpoint store's tiers for ``spec``: ``store_tiers`` when
+    set, k copies on real disks for a bare ``replication_factor``, else
+    the paper's idealized global stable storage (which the determinism
+    goldens pin)."""
+    if spec.store_tiers is not None:
+        return spec.store_tiers
+    if spec.replication_factor is not None:
+        return (TIER_DISK, TIER_FABRIC)
+    return (TIER_GLOBAL,)
 
 
 class AppHandle:
@@ -100,57 +113,17 @@ class StarfishCluster:
             self._boot_daemon(node_id)
 
     def _build_store(self, cluster: Cluster) -> CheckpointStore:
-        """The checkpoint store, per ``ClusterSpec``.
-
-        ``store_tiers`` builds the multi-level :class:`~repro.store.
-        TieredStore` (L1 memory / L2 disk / L3 fabric, delta capture);
-        otherwise ``replication_factor`` picks the k-way
-        :class:`~repro.store.ReplicatedStore`; otherwise the paper's
-        idealized single-copy stable storage (and the determinism
-        goldens byte-identical).  Replicating stores with ``k >= 2``
-        get the failure-driven repair daemon.
-        """
-        spec = getattr(cluster, "spec", None)
-        k = spec.replication_factor if spec is not None else None
-        tiers = spec.store_tiers if spec is not None else None
-        if tiers is not None:
-            from repro.store import RepairService, TieredStore
-            store = TieredStore(self.engine, cluster, tiers=tiers,
-                                k=k if k is not None else 2,
-                                policy=spec.placement_policy,
-                                delta_depth=spec.delta_depth,
-                                promotion=spec.tier_policy)
-            if store.k > 1:
-                store.repair = RepairService(
-                    self.engine, cluster, store,
-                    bandwidth=spec.repair_bandwidth)
-            cluster.watchers.append(store.on_membership)
-            return store
-        if k is not None:
-            from repro.store import RepairService, ReplicatedStore
-            store = ReplicatedStore(self.engine, cluster, k=k,
-                                    policy=spec.placement_policy)
-            if k > 1:
-                store.repair = RepairService(
-                    self.engine, cluster, store,
-                    bandwidth=spec.repair_bandwidth)
-            cluster.watchers.append(store.on_membership)
-            return store
-        store = CheckpointStore(self.engine)
-        # Volatile (diskless) copies stop counting the instant their
-        # holder goes down — availability checks never race the watcher.
-        from repro.cluster.node import NodeState
-
-        def _memory_live(node_id: str) -> bool:
-            node = cluster.nodes.get(node_id)
-            return node is not None and node.state is not NodeState.DOWN
-
-        store.node_liveness = _memory_live
-        # Diskless checkpoints live in node memory: a crash destroys the
-        # copies that node was holding for its buddies (the base store's
-        # on_membership does exactly that and nothing more).
-        cluster.watchers.append(store.on_membership)
-        return store
+        """The checkpoint store, configured from ``ClusterSpec``
+        (:func:`store_tiers_of` derives its tiers)."""
+        spec = cluster.spec
+        k = spec.replication_factor
+        return CheckpointStore(self.engine, cluster,
+                               tiers=store_tiers_of(spec),
+                               k=2 if k is None else k,
+                               policy=spec.placement_policy,
+                               delta_depth=spec.delta_depth,
+                               promotion=spec.tier_policy,
+                               repair_bandwidth=spec.repair_bandwidth)
 
     # ------------------------------------------------------------------
     # construction

@@ -1,40 +1,41 @@
-"""Checkpoint storage backends (replicated fabric, multi-level tiers).
+"""Checkpoint storage: the tier-configured store and its services.
 
-The public store surface (ISSUE 7's api_redesign):
+The public store surface:
 
 * :class:`~repro.store.base.StoreBackend` — the ``typing.Protocol``
-  every store implements; protocol code programs against it only;
-* :class:`~repro.ckpt.storage.CheckpointStore` — the paper's idealized
-  single-copy stable storage (the default);
-* :class:`~repro.store.replicated.ReplicatedStore` — k-replica fan-out,
-  pluggable placement, reachability-aware availability, read-pinned GC;
-* :class:`~repro.store.tiers.TieredStore` — the L1 memory / L2 disk /
-  L3 fabric hierarchy with write-through/write-back promotion and delta
-  checkpoints (:mod:`~repro.store.delta`);
+  the store implements; protocol code programs against it only;
+* :class:`~repro.ckpt.storage.CheckpointStore` — the one store.  Its
+  ``tiers`` and ``k`` decide what it models: ``("global",)`` is the
+  paper's idealized stable storage (the default), ``("disk", "fabric")``
+  keeps k copies on real disks, and any selection of ``memory`` /
+  ``disk`` / ``fabric`` builds the L1/L2/L3 hierarchy with
+  write-through/write-back promotion and delta checkpoints
+  (:mod:`~repro.store.delta`);
 * :class:`~repro.store.repair.RepairService` — failure-driven, budgeted
-  re-replication;
+  re-replication, run by every replicating store (``k > 1``);
 * :mod:`~repro.store.placement` — placement policies (ring successor,
   seeded-random, partition-aware) and the diskless protocol's
   :func:`rotating_mirrors` rule.
 
-Enable per cluster with ``ClusterSpec(replication_factor=2)`` or
-``ClusterSpec(store_tiers=("memory", "disk", "fabric"))``; the default
-keeps the idealized store, byte-identical to previous releases.
+A cluster derives its store from ``ClusterSpec``: ``store_tiers`` picks
+the tiers, otherwise ``replication_factor`` means ``("disk",
+"fabric")``, otherwise the store is global — byte-identical to previous
+releases.
 """
 
+
 from repro.ckpt.storage import (CheckpointRecord, CheckpointStore,
-                                TIER_DISK, TIER_FABRIC, TIER_MEMORY,
-                                TIER_ORDER)
+                                DEFAULT_REPAIR_BANDWIDTH, MIN_DELTA_NBYTES,
+                                PROMOTIONS, TIER_DISK, TIER_FABRIC,
+                                TIER_GLOBAL, TIER_MEMORY, TIER_ORDER,
+                                WRITE_BACK, WRITE_THROUGH, normalize_tiers)
 from repro.store.base import StoreBackend
 from repro.store.delta import (BLOCK, Delta, delta_apply, delta_encode,
                                squash)
 from repro.store.placement import (PartitionAwarePlacement, PlacementPolicy,
                                    POLICIES, RandomPlacement, RingPlacement,
                                    make_placement, rotating_mirrors)
-from repro.store.repair import DEFAULT_REPAIR_BANDWIDTH, RepairService
-from repro.store.replicated import ReplicatedStore
-from repro.store.tiers import (MIN_DELTA_NBYTES, PROMOTIONS, TieredStore,
-                               WRITE_BACK, WRITE_THROUGH, normalize_tiers)
+from repro.store.repair import RepairService
 
 __all__ = [
     "BLOCK",
@@ -49,12 +50,11 @@ __all__ = [
     "PROMOTIONS",
     "RandomPlacement",
     "RepairService",
-    "ReplicatedStore",
     "RingPlacement",
     "StoreBackend",
-    "TieredStore",
     "TIER_DISK",
     "TIER_FABRIC",
+    "TIER_GLOBAL",
     "TIER_MEMORY",
     "TIER_ORDER",
     "WRITE_BACK",

@@ -1,17 +1,17 @@
 """The public checkpoint-store contract.
 
-:class:`StoreBackend` is the ``typing.Protocol`` every store implements —
-the idealized :class:`~repro.ckpt.storage.CheckpointStore`, the k-way
-:class:`~repro.store.replicated.ReplicatedStore` and the multi-level
-:class:`~repro.store.tiers.TieredStore`.  Protocol code (the C/R roles in
+:class:`StoreBackend` is the ``typing.Protocol`` the
+:class:`~repro.ckpt.storage.CheckpointStore` implements in every tier
+configuration.  Protocol code (the C/R roles in
 ``repro.ckpt.protocols``, the restart planners, the check harness, the
 CLI) programs against THIS surface only; reaching into ``_records`` /
 ``_committed`` privates is a bug, and ``tests/test_store_tiers.py``
-asserts conformance for all three stores.
+asserts conformance for the global, replicated and tiered configs.
 
-Tier names (:data:`TIER_MEMORY` / :data:`TIER_DISK` / :data:`TIER_FABRIC`)
-are defined next to :class:`~repro.ckpt.storage.CheckpointRecord` and
-re-exported here so store users need only this package.
+Tier names (:data:`TIER_MEMORY` / :data:`TIER_DISK` / :data:`TIER_FABRIC`
+/ :data:`TIER_GLOBAL`) are defined next to
+:class:`~repro.ckpt.storage.CheckpointRecord` and re-exported here so
+store users need only this package.
 """
 
 from __future__ import annotations
@@ -20,13 +20,14 @@ from typing import (Dict, Iterable, Iterator, List, Optional, Protocol,
                     Tuple, runtime_checkable)
 
 from repro.ckpt.storage import (CheckpointRecord, TIER_DISK, TIER_FABRIC,
-                                TIER_MEMORY, TIER_ORDER)
+                                TIER_GLOBAL, TIER_MEMORY, TIER_ORDER)
 
 __all__ = [
     "CheckpointRecord",
     "StoreBackend",
     "TIER_DISK",
     "TIER_FABRIC",
+    "TIER_GLOBAL",
     "TIER_MEMORY",
     "TIER_ORDER",
 ]
@@ -39,8 +40,17 @@ class StoreBackend(Protocol):
     Writes and reads are *process generators* (they yield sim events and
     charge disk/network time); everything else is synchronous metadata.
     ``isinstance(store, StoreBackend)`` checks the surface structurally —
-    the conformance test instantiates all stores against it.
+    the conformance test checks every tier configuration against it.
     """
+
+    #: The configured tiers, fastest first (``("global",)`` = idealized
+    #: stable storage).
+    tiers: Tuple[str, ...]
+    #: Copies per record: the memory tier's fan-out (and the diskless
+    #: protocol's mirror count) and the fabric tier's total copies.
+    k: int
+    #: Committed lines that became non-restorable at a membership change.
+    breaches: list
 
     # -- writing -------------------------------------------------------
 
@@ -50,8 +60,8 @@ class StoreBackend(Protocol):
         ...
 
     def write_tier(self, record: CheckpointRecord, tier: str,
-                   holder_node: str) -> None:
-        """Register a copy of ``record`` in ``tier`` on ``holder_node``
+                   node_id: str) -> None:
+        """Register a copy of ``record`` in ``tier`` on ``node_id``
         (no IO charged; mirrors of the same snapshot add holders)."""
         ...
 
@@ -107,10 +117,6 @@ class StoreBackend(Protocol):
         ...
 
     def max_version(self, app_id: str) -> int:
-        ...
-
-    def mirror_fanout(self) -> int:
-        """In-memory copies per diskless/L1 record."""
         ...
 
     # -- membership & GC -----------------------------------------------

@@ -3,7 +3,7 @@
 The :class:`RepairService` is the store's background daemon process: it
 sleeps until a cluster membership change (crash / recover / add /
 remove, delivered synchronously by the store's watcher via
-:meth:`kick`), then scans the replica map and copies under-replicated
+:meth:`kick`), then walks the store's records and copies under-replicated
 records from a surviving holder to a new one chosen by the same
 placement policy as ordinary writes, until every record is back at
 ``min(k, up nodes)`` copies.
@@ -21,13 +21,10 @@ the number DESIGN.md §13 derives and
 
 from __future__ import annotations
 
+from repro.ckpt.storage import DEFAULT_REPAIR_BANDWIDTH, TIER_MEMORY
 from repro.errors import Interrupt
 from repro.obs.registry import get_registry
 from repro.sim.channel import Channel
-
-#: Default re-replication budget: ~4 MB/s, below Myrinet line rate so
-#: repair never starves application traffic in the model.
-DEFAULT_REPAIR_BANDWIDTH = 4.0e6
 
 
 class RepairService:
@@ -127,7 +124,6 @@ class RepairService:
         return None
 
     def _repair_one(self, key, rec, source, target, tier):
-        from repro.ckpt.storage import TIER_MEMORY
         engine = self.engine
         t0 = engine.now
         fabric = self.cluster.myrinet

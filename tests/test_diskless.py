@@ -5,6 +5,7 @@ import pytest
 
 from repro.apps import ComputeSleep, Jacobi1D
 from repro.ckpt.protocols import DisklessProtocol, make_protocol
+from repro.ckpt.storage import TIER_MEMORY
 from repro.core import AppSpec, CheckpointConfig, FaultPolicy, StarfishCluster
 
 
@@ -34,9 +35,10 @@ def test_records_live_in_buddy_memory_not_disk():
     assert disk_bytes == 0                       # no disk involved
     for rank in range(3):
         rec = sf.store.peek(handle.app_id, rank, version)
-        assert rec.in_memory
-        assert len(rec.holder_nodes) == 2        # double mirroring
-        assert f"n{rank}" not in rec.holder_nodes  # both copies off-node
+        assert rec.tier == TIER_MEMORY
+        held = rec.holders[TIER_MEMORY]
+        assert len(held) == 2                    # double mirroring
+        assert f"n{rank}" not in held            # both copies off-node
 
 
 def test_rotating_buddies_across_versions():
@@ -48,8 +50,8 @@ def test_rotating_buddies_across_versions():
     versions = sf.store.committed_versions(handle.app_id)
     assert len(versions) >= 2
     v1, v2 = versions[-2], versions[-1]
-    h1 = set(sf.store.peek(handle.app_id, 0, v1).holder_nodes)
-    h2 = set(sf.store.peek(handle.app_id, 0, v2).holder_nodes)
+    h1 = set(sf.store.peek(handle.app_id, 0, v1).holders[TIER_MEMORY])
+    h2 = set(sf.store.peek(handle.app_id, 0, v2).holders[TIER_MEMORY])
     assert h1 != h2                              # rotation
 
 
@@ -96,14 +98,15 @@ def test_crash_invalidates_held_copies_but_mirrors_survive():
     sf.engine.run(until=sf.engine.now + 1.3)
     version = sf.store.latest_committed(handle.app_id)
     held = [r for r in range(3)
-            if "n2" in sf.store.peek(handle.app_id, r, version).holder_nodes]
+            if "n2" in sf.store.peek(handle.app_id, r,
+                                     version).holders[TIER_MEMORY]]
     assert held
     sf.cluster.crash_node("n2")
     # The mirror on the surviving node keeps every record alive...
     for rank in held:
         rec = sf.store.peek(handle.app_id, rank, version)
-        assert "n2" not in rec.holder_nodes
-        assert rec.holder_nodes                   # at least one copy left
+        assert "n2" not in rec.holders[TIER_MEMORY]
+        assert rec.holders[TIER_MEMORY]           # at least one copy left
     # ...so the newest line is still fully restorable after one crash.
     assert sf.store.latest_restorable(handle.app_id, range(3)) == version
 
@@ -118,8 +121,10 @@ def test_latest_restorable_falls_back_past_wiped_line():
             rec = CheckpointRecord(app_id="a", rank=rank, version=version,
                                    level="vm", nbytes=10, image=b"",
                                    arch_name="x", taken_at=0.0)
-            store.write_memory(rec, holder_node=f"h{version}{rank}a")
-            store.write_memory(rec, holder_node=f"h{version}{rank}b")
+            store.write_tier(rec, TIER_MEMORY,
+                             node_id=f"h{version}{rank}a")
+            store.write_tier(rec, TIER_MEMORY,
+                             node_id=f"h{version}{rank}b")
         store.commit("a", version)
     assert store.latest_restorable("a", range(2)) == 2
     store.drop_volatile("h21a")
@@ -158,5 +163,5 @@ def test_singleton_app_keeps_local_memory_copy():
     sf.engine.run(until=sf.engine.now + 1.0)
     version = sf.store.latest_committed(handle.app_id)
     rec = sf.store.peek(handle.app_id, 0, version)
-    assert rec.in_memory and rec.holder_node == "n0"
+    assert rec.tier == TIER_MEMORY and rec.holders[TIER_MEMORY] == ["n0"]
     sf.run_to_completion(handle, timeout=120)

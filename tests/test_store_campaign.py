@@ -50,6 +50,20 @@ def test_k1_guard_the_same_campaign_loses_the_line():
     assert any("not restorable" in m for m in msgs)
 
 
+@pytest.mark.parametrize("protocol", ("stop-and-sync", "diskless"))
+def test_global_store_is_exempt_from_survivability(protocol):
+    """The default global store cannot lose a copy, so the checker has
+    nothing to check — not even for diskless lines held in memory."""
+    runner = CampaignRunner("store-crash-burst", seed=3, protocol=protocol,
+                            policy="restart", cluster_spec=ClusterSpec(),
+                            checkers=(CheckpointSurvivability(k=2),))
+    report = runner.run()
+    assert report.data["status"] == "completed"
+    surv = [c for c in report.data["checks"]
+            if c["checker"] == "checkpoint-survivability"]
+    assert surv and all(c["violations"] == [] for c in surv)
+
+
 def test_replicated_campaign_reports_are_seed_stable():
     r1 = CampaignRunner("store-crash-burst", seed=5,
                         protocol="chandy-lamport").run()
